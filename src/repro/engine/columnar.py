@@ -151,6 +151,9 @@ class TypedColumn(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
+            if not self.null_count:
+                # ``tolist`` restores the same Python floats/ints, at C speed.
+                return self.values_array()[index].tolist()
             return [self[i] for i in range(*index.indices(len(self.data)))]
         if self.nulls[index]:
             return None
@@ -207,6 +210,16 @@ class TypedColumn(Sequence):
             self._mask_cache = np.array(np.frombuffer(self.nulls, dtype=np.bool_))
         return self._mask_cache
 
+    def stored_nulls(self) -> Optional[np.ndarray]:
+        """Boolean mask of stored NULLs (``None`` values) only, or ``None``
+        when there are none — unlike :meth:`null_mask`, a genuine NaN is not
+        one of them."""
+        if not self.null_count:
+            return None
+        if self.typecode == "q":
+            return self.null_mask()
+        return np.array(np.frombuffer(self.nulls, dtype=np.bool_))
+
     def null_positions(self) -> Optional[set]:
         """Strict-filter contract of ``vectorized._null_positions``: indices of
         SQL-NULL entries (None or NaN) as a set, or ``None`` when clean."""
@@ -215,6 +228,15 @@ class TypedColumn(Sequence):
             return None
         positions = set(np.flatnonzero(mask).tolist())
         return positions or None
+
+    def gather(self, positions: np.ndarray) -> List[Any]:
+        """Python values at ``positions`` (late materialization)."""
+        values = self.values_array()[positions].tolist()
+        nulls = self.stored_nulls()
+        if nulls is not None:
+            for index in np.flatnonzero(nulls[positions]).tolist():
+                values[index] = None
+        return values
 
     def take(self, positions: np.ndarray) -> "TypedColumn":
         """New column with the rows at ``positions`` (ascending), packed."""
@@ -635,14 +657,12 @@ class ColumnStore(Sequence):
 def gather_positions(column: Sequence[Any], positions: np.ndarray) -> List[Any]:
     """Late materialization: the values of ``column`` at ``positions``.
 
-    Packed NULL-free columns gather with one NumPy fancy-index (+``tolist``,
-    which restores genuine Python floats/ints); dictionary columns gather in
-    code space and decode; anything else gathers per-position, preserving
-    ``None``.
+    Packed columns gather with one NumPy fancy-index (+``tolist``, which
+    restores genuine Python floats/ints, with NULLs patched back to
+    ``None``); dictionary columns gather in code space and decode; anything
+    else gathers per-position.
     """
-    if isinstance(column, TypedColumn) and not column.null_count:
-        return column.values_array()[positions].tolist()
-    if isinstance(column, DictColumn):
+    if isinstance(column, (TypedColumn, DictColumn)):
         return column.gather(positions)
     return [column[int(p)] for p in positions]
 

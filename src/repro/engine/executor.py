@@ -23,7 +23,10 @@ SELECT execution is tiered (see ``docs/engine-execution.md`` and
   arguments are plain column references, per-segment argument streams come
   straight from the table's cached columnar view as
   :class:`~repro.engine.vectorized.ColumnBatch` slices, and aggregates with a
-  ``batch_transition`` consume each segment in a single batched call.
+  ``batch_transition`` consume each segment in a single batched call.  GROUP
+  BY and ORDER BY over such scans key and sort on the packed columns
+  (:mod:`repro.engine.groupsort`); grouped folds then run per contiguous
+  (group, segment) slice.
 * **Interpreted fallback** — any construct outside the compilable subset
   (window calls, unresolvable names, unbound parameters, DISTINCT aggregates)
   drops back to per-row :class:`RowContext` dicts and tree-walking
@@ -49,7 +52,7 @@ import numpy as np
 
 from ..errors import CatalogError, ExecutionError, SQLSyntaxError
 from .aggregates import AggregateDefinition
-from .columnar import SelectedRows
+from .columnar import DictColumn, SelectedRows, TypedColumn, gather_positions
 from .compile import (
     ColumnLayout,
     compile_expression,
@@ -65,6 +68,7 @@ from .join import (
     plan_hash_join,
     plan_key_join,
 )
+from .groupsort import group_ids, packed_columns, sort_order, take_rows
 from .parallel import WorkerPoolError, guarded_function_registry, shippable_spec
 from .planner import (
     choose_access_path,
@@ -160,6 +164,47 @@ class _Relation:
         if self.distribution_index is None or self.num_segments <= 1:
             return None
         return (self.distribution_index, self.distribution_type)
+
+
+@dataclass
+class _Groups:
+    """A grouped relation, laid out for slice-wise folding.
+
+    Per segment ``s``, ``rows[s]`` holds the relation row indices of that
+    segment stably sorted by group id, so group ``g``'s rows are
+    ``rows[s][bounds[s][g]:bounds[s][g + 1]]``, in relation order.  For a
+    packed base-table scan ``scan`` is its ``(store, selection)`` pairs and
+    ``positions[s]`` the stored positions of ``rows[s]``.
+    """
+
+    keys: List[Any]
+    representatives: List[Optional[int]]
+    rows: List[np.ndarray]
+    bounds: List[List[int]]
+    scan: Optional[List[Tuple[Any, Any]]] = None
+    positions: Optional[List[np.ndarray]] = None
+
+
+def _sort_by_group(ids: np.ndarray, count: int) -> Tuple[np.ndarray, List[int]]:
+    """Stable order of ``ids`` and the boundaries of each of ``count`` groups."""
+    bounds = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=count), out=bounds[1:])
+    if count <= 1 << 16:
+        ids = ids.astype(np.uint16)  # NumPy's stable sort is a radix sort here
+    return np.argsort(ids, kind="stable"), bounds.tolist()
+
+
+def _distinct_streams(streams: Iterable[List[tuple]], num_segments: int) -> List[List[tuple]]:
+    """DISTINCT aggregate input: the first of each argument tuple, in one stream."""
+    seen = set()
+    unique: List[Tuple[Any, ...]] = []
+    for stream in streams:
+        for arguments in stream:
+            key = tuple(hashable_key(a) for a in arguments)
+            if key not in seen:
+                seen.add(key)
+                unique.append(arguments)
+    return [unique] + [[] for _ in range(num_segments - 1)]
 
 
 class _LazyContexts:
@@ -1018,6 +1063,11 @@ class Executor:
                 limit_hint=limit_hint,
             )
         else:
+            order = None
+            if statement.order_by and not window_calls:
+                order = self._packed_order(
+                    statement.order_by, select_items, output_names, relation, env, limit_hint
+                )
             if window_calls:
                 aggregates = self._aggregate_registry()
                 context_list = list(contexts)
@@ -1028,17 +1078,10 @@ class Executor:
                     for ctx in contexts
                 ]
             else:
-                item_fns = [self._compile(item.expression, env) for item in select_items]
-                if all(fn is not None for fn in item_fns):
-                    output_rows = [
-                        tuple(fn(row) for fn in item_fns) for row in relation.rows
-                    ]
-                else:
-                    output_rows = [
-                        tuple(item.expression.evaluate(ctx) for item in select_items)
-                        for ctx in contexts
-                    ]
-            if statement.order_by:
+                output_rows = self._project(select_items, relation, contexts, env, order)
+            if order is not None:
+                stats.order_vectorized = True
+            elif statement.order_by:
                 order_key_fns = {
                     id(order_item): self._compile(order_item.expression, env)
                     for order_item in statement.order_by
@@ -1070,6 +1113,91 @@ class Executor:
             output_rows = output_rows[: statement.limit]
 
         return ResultSet(output_names, output_rows, stats=stats)
+
+    def _packed_scan(self, relation: _Relation, env: Optional[tuple]):
+        """``(store, selection)`` per segment when ``relation`` is a compiled-tier
+        scan of a columnar base table (full, or bitmap-filtered), else ``None``."""
+        table = relation.source_table
+        if env is None or table is None or not table.columnar:
+            return None
+        selections = relation.segment_selections or [None] * table.num_segments
+        return [(table.column_store(s), selections[s]) for s in range(table.num_segments)]
+
+    @staticmethod
+    def _packed_column(expression: Expression, scan, env: tuple) -> Optional[List[Any]]:
+        """The scan's packed columns for a plain column reference, else ``None``."""
+        if not isinstance(expression, ColumnRef):
+            return None
+        index = env[0].resolve(expression.name, expression.qualifier)
+        return None if index is None else packed_columns(scan, index)
+
+    def _packed_order(
+        self,
+        order_by: List[OrderItem],
+        select_items: List[SelectItem],
+        output_names: List[str],
+        relation: _Relation,
+        env: Optional[tuple],
+        limit: Optional[int],
+    ) -> Optional[np.ndarray]:
+        """Sorted relation row indices (the first ``limit`` when given) when
+        every ORDER BY key is a packed base-scan column, else ``None``.
+
+        A key resolves as in :meth:`_apply_order_by`: an ordinal or an output
+        alias names a select item, which must then be a plain column.
+        """
+        scan = self._packed_scan(relation, env)
+        if scan is None:
+            return None
+        lowered_names = [name.lower() for name in output_names]
+        keys = []
+        for order_item in order_by:
+            expression = order_item.expression
+            if isinstance(expression, Literal) and isinstance(expression.value, int):
+                if not 1 <= expression.value <= len(select_items):
+                    return None
+                expression = select_items[expression.value - 1].expression
+            elif isinstance(expression, ColumnRef) and expression.qualifier is None:
+                name = expression.name.lower()
+                if name in lowered_names:
+                    expression = select_items[lowered_names.index(name)].expression
+            columns = self._packed_column(expression, scan, env)
+            if columns is None:
+                return None
+            keys.append((columns, order_item.ascending, order_item.nulls_last))
+        return sort_order(scan, keys, limit)
+
+    def _project(
+        self,
+        select_items: List[SelectItem],
+        relation: _Relation,
+        contexts,
+        env: Optional[tuple],
+        order: Optional[np.ndarray],
+    ) -> List[Tuple[Any, ...]]:
+        """Output rows of a non-grouped SELECT, taken in ``order`` when given.
+
+        Ordered plain-column selects from a packed scan gather only the rows
+        in ``order``.  Anything else projects every row, as it always did
+        (so an expression that raises on some row still raises), then
+        reorders.
+        """
+        scan = None if order is None else self._packed_scan(relation, env)
+        if scan is not None:
+            packed = [self._packed_column(item.expression, scan, env) for item in select_items]
+            if all(columns is not None for columns in packed):
+                return list(zip(*(take_rows(scan, columns, order) for columns in packed)))
+        item_fns = [self._compile(item.expression, env) for item in select_items]
+        if all(fn is not None for fn in item_fns):
+            output_rows = [tuple(fn(row) for fn in item_fns) for row in relation.rows]
+        else:
+            output_rows = [
+                tuple(item.expression.evaluate(ctx) for item in select_items)
+                for ctx in contexts
+            ]
+        if order is not None:
+            output_rows = [output_rows[index] for index in order.tolist()]
+        return output_rows
 
     def _apply_order_by(
         self,
@@ -1248,35 +1376,42 @@ class Executor:
         stats: ExecutionStats,
         env: Optional[tuple],
     ) -> List[Tuple[Any, Optional[int], Dict[str, Any]]]:
-        """Coordinator-side grouping and per-group aggregation."""
-        groups: Dict[Any, List[int]] = {}
-        group_order: List[Any] = []
-        if statement.group_by:
-            key_fns = [self._compile(expression, env) for expression in statement.group_by]
-            if all(fn is not None for fn in key_fns):
-                for index, row in enumerate(relation.rows):
-                    key = tuple(hashable_key(fn(row)) for fn in key_fns)
-                    if key not in groups:
-                        groups[key] = []
-                        group_order.append(key)
-                    groups[key].append(index)
-            else:
-                for index in range(len(contexts)):
-                    ctx = contexts[index]
-                    key = tuple(
-                        hashable_key(expression.evaluate(ctx))
-                        for expression in statement.group_by
-                    )
-                    if key not in groups:
-                        groups[key] = []
-                        group_order.append(key)
-                    groups[key].append(index)
-        else:
-            key = ()
-            groups[key] = list(range(len(contexts)))
-            group_order.append(key)
+        """Coordinator-side grouping and per-group aggregation.
 
-        single_group = len(groups) == 1 and not statement.group_by
+        The compiled tier lays the groups out as sorted per-segment slices
+        (:class:`_Groups`): group ids come from the packed key columns of a
+        base-table scan when every key is one, else from one per-row key
+        pass.  Each (group, segment) slice then folds through the unchanged
+        :class:`SegmentedAggregator`, fed the same values in the same order
+        as the interpreted tier's per-group member lists.
+        """
+        if env is None:
+            return self._interpreted_grouped(statement, call_plans, relation, contexts, stats)
+        single_group = not statement.group_by
+        groups = None if single_group else self._packed_groups(statement, relation, env)
+        stats.group_vectorized = groups is not None
+        if groups is None and not single_group:
+            groups = self._row_groups(statement, relation, contexts, env)
+        # Per call: ``(streams, None)`` with whole-segment streams (ungrouped
+        # packed scans), or ``(None, sources)`` with every segment's argument
+        # columns in group-sorted row order.
+        arguments: List[Tuple[Optional[list], Optional[list]]] = []
+        for call, _definition, _aggregator, argument_fns in call_plans:
+            streams = self._columnar_streams(call, relation, env) if single_group else None
+            if streams is not None:
+                arguments.append((streams, None))
+                continue
+            if groups is None:  # ungrouped, but this aggregate needs a row pass
+                groups = self._row_groups(statement, relation, contexts, env)
+            arguments.append(
+                (None, self._argument_columns(call, argument_fns, groups, relation, contexts, env))
+            )
+        if groups is None:  # ungrouped, and every aggregate streams whole columns
+            groups = _Groups([()], [0 if len(relation.rows) else None], [], [])
+        results: List[Tuple[Any, Optional[int], Dict[str, Any]]] = [
+            (key, representative, {})
+            for key, representative in zip(groups.keys, groups.representatives)
+        ]
         # Grouped statements accumulate one statement-level timings object per
         # aggregate call (per-group contributions folded together), so
         # ``simulated_parallel_seconds`` projects grouped work too instead of
@@ -1285,13 +1420,68 @@ class Executor:
             AggregateTimings(aggregate_name=definition.name)
             for _call, definition, _aggregator, _argument_fns in call_plans
         ]
+        num_segments = max(relation.num_segments, 1)
+        for group, (_key, _representative, aggregate_values) in enumerate(results):
+            for position, (call, definition, aggregator, _fns) in enumerate(call_plans):
+                segment_streams, sources = arguments[position]
+                if sources is not None:
+                    segment_streams = [
+                        self._group_slice(source, bounds[group], bounds[group + 1])
+                        for source, bounds in zip(sources, groups.bounds)
+                    ]
+                    if call.distinct:
+                        # Segments in the order the group's rows first appear.
+                        present = [
+                            segment for segment in range(len(segment_streams))
+                            if len(segment_streams[segment])
+                        ]
+                        present.sort(key=lambda s: groups.rows[s][groups.bounds[s][group]])
+                        segment_streams = _distinct_streams(
+                            (segment_streams[s].rows() for s in present), num_segments
+                        )
+                force_serial, pool = self._fold_mode(definition)
+                value, timings = aggregator.run(
+                    segment_streams, force_serial=force_serial, pool=pool
+                )
+                aggregate_values[f"__agg_{id(call)}"] = value
+                if single_group:
+                    stats.aggregate_timings.append(timings)
+                else:
+                    grouped_timings[position].accumulate(timings)
+        if not single_group and results:
+            stats.aggregate_timings.extend(grouped_timings)
+        return results
+
+    def _interpreted_grouped(
+        self,
+        statement: SelectStatement,
+        call_plans: List[tuple],
+        relation: _Relation,
+        contexts,
+        stats: ExecutionStats,
+    ) -> List[Tuple[Any, Optional[int], Dict[str, Any]]]:
+        """The interpreted tier's grouping: row contexts, one member list per group."""
+        groups: Dict[Any, List[int]] = {}
+        if statement.group_by:
+            for index in range(len(contexts)):
+                ctx = contexts[index]
+                key = tuple(
+                    hashable_key(expression.evaluate(ctx)) for expression in statement.group_by
+                )
+                groups.setdefault(key, []).append(index)
+        else:
+            groups[()] = list(range(len(contexts)))
+        single_group = not statement.group_by
+        grouped_timings = [
+            AggregateTimings(aggregate_name=definition.name)
+            for _call, definition, _aggregator, _argument_fns in call_plans
+        ]
         results: List[Tuple[Any, Optional[int], Dict[str, Any]]] = []
-        for key in group_order:
-            member_indices = groups[key]
+        for key, member_indices in groups.items():
             aggregate_values: Dict[str, Any] = {}
-            for position, (call, definition, aggregator, argument_fns) in enumerate(call_plans):
+            for position, (call, definition, aggregator, _fns) in enumerate(call_plans):
                 value, timings = self._run_aggregate(
-                    call, definition, aggregator, argument_fns, member_indices, relation, contexts, env
+                    call, aggregator, member_indices, relation, contexts
                 )
                 aggregate_values[f"__agg_{id(call)}"] = value
                 if single_group:
@@ -1300,9 +1490,80 @@ class Executor:
                     grouped_timings[position].accumulate(timings)
             representative = member_indices[0] if member_indices else None
             results.append((key, representative, aggregate_values))
-        if not single_group and group_order:
+        if not single_group and groups:
             stats.aggregate_timings.extend(grouped_timings)
         return results
+
+    def _packed_groups(
+        self, statement: SelectStatement, relation: _Relation, env: tuple
+    ) -> Optional[_Groups]:
+        """Groups keyed on packed base-scan columns, or ``None`` when any
+        GROUP BY key is not a plain column packed in every segment."""
+        scan = self._packed_scan(relation, env)
+        if scan is None or not statement.group_by:
+            return None
+        key_columns = []
+        for expression in statement.group_by:
+            columns = self._packed_column(expression, scan, env)
+            if columns is None:
+                return None
+            key_columns.append(columns)
+        keys, representatives, segment_ids = group_ids(scan, key_columns)
+        rows: List[np.ndarray] = []
+        bounds: List[List[int]] = []
+        positions: List[np.ndarray] = []
+        offset = 0
+        for (_store, selection), ids in zip(scan, segment_ids):
+            order, segment_bounds = _sort_by_group(ids, len(keys))
+            rows.append(order + offset)
+            bounds.append(segment_bounds)
+            positions.append(order if selection is None else selection[order])
+            offset += len(ids)
+        return _Groups(keys, representatives, rows, bounds, scan, positions)
+
+    def _row_groups(
+        self, statement: SelectStatement, relation: _Relation, contexts, env: tuple
+    ) -> _Groups:
+        """Groups from one per-row key pass (compiled keys where possible)."""
+        count = len(relation.rows)
+        if statement.group_by:
+            key_fns = [self._compile(expression, env) for expression in statement.group_by]
+            if all(fn is not None for fn in key_fns):
+                row_keys = (
+                    tuple(hashable_key(fn(row)) for fn in key_fns) for row in relation.rows
+                )
+            else:
+                row_keys = (
+                    tuple(
+                        hashable_key(expression.evaluate(contexts[index]))
+                        for expression in statement.group_by
+                    )
+                    for index in range(count)
+                )
+            group_of: Dict[Any, int] = {}
+            keys: List[Any] = []
+            representatives: List[Optional[int]] = []
+            ids_list: List[int] = []
+            for index, key in enumerate(row_keys):
+                group = group_of.get(key)
+                if group is None:
+                    group = group_of[key] = len(keys)
+                    keys.append(key)
+                    representatives.append(index)
+                ids_list.append(group)
+            ids = np.array(ids_list, dtype=np.int64)
+        else:
+            keys, representatives = [()], [0 if count else None]
+            ids = np.zeros(count, dtype=np.int64)
+        segments = np.asarray(relation.segment_ids, dtype=np.int64)
+        rows: List[np.ndarray] = []
+        bounds: List[List[int]] = []
+        for segment in range(max(relation.num_segments, 1)):
+            members = np.flatnonzero(segments == segment)
+            order, segment_bounds = _sort_by_group(ids[members], len(keys))
+            rows.append(members[order])
+            bounds.append(segment_bounds)
+        return _Groups(keys, representatives, rows, bounds)
 
     def _parallel_grouped(
         self,
@@ -1438,6 +1699,9 @@ class Executor:
         for position, table in enumerate(tables):
             slice_start = segment_slices[position][0]
             for key, first_local, states in table:
+                # Unpickling makes a new object of each NaN in a key; one
+                # canonical NaN keeps them one group.
+                key = hashable_key(key)
                 known = partial_states.get(key)
                 if known is None:
                     group_order.append(key)
@@ -1481,27 +1745,30 @@ class Executor:
             stats.aggregate_timings.append(timings)
         return results
 
+    def _fold_mode(self, definition: AggregateDefinition) -> Tuple[bool, Any]:
+        """``(force_serial, pool)`` for one aggregate's per-segment folds.
+
+        The worker pool (real parallel execution) engages only where the
+        merge path would: mergeable aggregate, parallel aggregation on.
+        """
+        force_serial = not definition.supports_parallel or not self.database.parallel_aggregation
+        return force_serial, None if force_serial else self.database.worker_pool
+
     def _columnar_streams(
         self,
         call: FunctionCall,
-        member_indices: List[int],
         relation: _Relation,
         env: Optional[tuple],
     ) -> Optional[List[ColumnBatch]]:
         """Per-segment argument columns sliced from the table's columnar view.
 
-        Applies only when the aggregated input is a base-table scan covering
-        every relation row — unfiltered, or bitmap-filtered with recorded
-        ``segment_selections`` — and each argument is a plain column
-        reference (or ``count(*)``); returns ``None`` otherwise.
+        Applies only to an ungrouped aggregate over a base-table scan —
+        unfiltered, or bitmap-filtered with recorded ``segment_selections``
+        — whose arguments are plain column references (or ``count(*)``);
+        returns ``None`` otherwise.
         """
         table = relation.source_table
-        if (
-            table is None
-            or env is None
-            or call.distinct
-            or len(member_indices) != len(relation.rows)
-        ):
+        if table is None or env is None or call.distinct:
             return None
         layout: ColumnLayout = env[0]
         if call.star:
@@ -1540,55 +1807,95 @@ class Executor:
                 streams.append(table.segment_batch(segment, argument_indices))
         return streams
 
+    def _argument_columns(
+        self,
+        call: FunctionCall,
+        argument_fns: Optional[list],
+        groups: _Groups,
+        relation: _Relation,
+        contexts,
+        env: tuple,
+    ) -> List[Tuple[Optional[Tuple[List[Any], ...]], bool]]:
+        """One aggregate's argument columns per segment, in ``groups.rows`` order.
+
+        Each entry is ``(columns, null_free)``; ``columns`` is ``None`` for
+        ``count(*)``.  Plain column arguments of a packed scan gather straight
+        from storage, and a segment whose stored argument columns hold no
+        NULL is marked ``null_free`` (its strict-NULL scan would remove
+        nothing).  Anything else is evaluated in one pass over the relation
+        (compiled closures, row contexts when an argument does not compile),
+        then reordered.
+        """
+        if call.star:
+            return [(None, True)] * len(groups.rows)
+        if groups.positions is not None:
+            indices = [
+                env[0].resolve(arg.name, arg.qualifier) if isinstance(arg, ColumnRef) else None
+                for arg in call.args
+            ]
+            if None not in indices:
+                gathered = []
+                for (store, _selection), positions in zip(groups.scan, groups.positions):
+                    stored = [store.column(index) for index in indices]
+                    null_free = all(
+                        isinstance(column, (TypedColumn, DictColumn)) and column.null_mask() is None
+                        for column in stored
+                    )
+                    columns = tuple(gather_positions(column, positions) for column in stored)
+                    gathered.append((columns, null_free))
+                return gathered
+        if argument_fns is not None:
+            rows = relation.rows
+            values = [[fn(row) for row in rows] for fn in argument_fns]
+        else:
+            values = [
+                [arg.evaluate(contexts[index]) for index in range(len(contexts))]
+                for arg in call.args
+            ]
+        columns: List[Tuple[Optional[Tuple[List[Any], ...]], bool]] = []
+        for members in groups.rows:
+            order = members.tolist()
+            columns.append((tuple([column[index] for index in order] for column in values), False))
+        return columns
+
+    @staticmethod
+    def _group_slice(
+        source: Tuple[Optional[Tuple[List[Any], ...]], bool], start: int, end: int
+    ):
+        """One (group, segment) argument stream: rows ``start:end`` of a
+        segment's :meth:`_argument_columns` entry."""
+        if start == end:
+            return []
+        columns, null_free = source
+        if columns is None:  # count(*): a constant argument
+            return ColumnBatch((ConstantColumn(1, end - start),), prefiltered=True)
+        return ColumnBatch(tuple(column[start:end] for column in columns), prefiltered=null_free)
+
     def _run_aggregate(
         self,
         call: FunctionCall,
-        definition: AggregateDefinition,
         aggregator: SegmentedAggregator,
-        argument_fns: Optional[list],
         member_indices: List[int],
         relation: _Relation,
         contexts,
-        env: Optional[tuple] = None,
     ) -> Tuple[Any, AggregateTimings]:
-        force_serial = not definition.supports_parallel or not self.database.parallel_aggregation
-        # The worker pool (real parallel execution) engages only where the
-        # merge path would: mergeable aggregate, parallel aggregation on.
-        pool = None if force_serial else self.database.worker_pool
-
-        # Fastest path: argument streams are whole columns from the table's
-        # cached columnar view — no per-row work at all before the fold.
-        segment_streams = self._columnar_streams(call, member_indices, relation, env)
-        if segment_streams is not None:
-            return aggregator.run(segment_streams, force_serial=force_serial, pool=pool)
-
-        # Build per-segment argument streams row by row, through the
-        # pre-compiled argument closures when available, contexts otherwise.
+        """Interpreted tier: one group's argument streams, row context by row context."""
         streams: Dict[int, List[Tuple[Any, ...]]] = {}
         segment_ids = relation.segment_ids
-        rows = relation.rows
         for index in member_indices:
             segment = segment_ids[index] if index < len(segment_ids) else 0
             if call.star:
                 arguments: Tuple[Any, ...] = (1,)
-            elif argument_fns is not None:
-                row = rows[index]
-                arguments = tuple(fn(row) for fn in argument_fns)
             else:
                 ctx = contexts[index]
                 arguments = tuple(arg.evaluate(ctx) for arg in call.args)
             streams.setdefault(segment, []).append(arguments)
+        num_segments = max(relation.num_segments, 1)
         if call.distinct:
-            seen = set()
-            unique: List[Tuple[Any, ...]] = []
-            for stream in streams.values():
-                for arguments in stream:
-                    key = tuple(hashable_key(a) for a in arguments)
-                    if key not in seen:
-                        seen.add(key)
-                        unique.append(arguments)
-            streams = {0: unique}
-        segment_streams = [streams.get(s, []) for s in range(max(relation.num_segments, 1))]
+            segment_streams = _distinct_streams(streams.values(), num_segments)
+        else:
+            segment_streams = [streams.get(s, []) for s in range(num_segments)]
+        force_serial, pool = self._fold_mode(aggregator.definition)
         return aggregator.run(segment_streams, force_serial=force_serial, pool=pool)
 
     def _execute_union(self, statement: UnionStatement, parameters) -> ResultSet:

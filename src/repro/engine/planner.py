@@ -723,17 +723,21 @@ class _ExplainBuilder:
         #: statement's scan/join details (see :meth:`_build_isolated`).
         self.scan_nodes: List[PlanNode] = []
         self.join_nodes: List[PlanNode] = []
+        #: The outermost statement's HashAggregate and Sort nodes, annotated
+        #: with whether grouping / sorting ran on packed columns.
+        self.group_nodes: List[PlanNode] = []
+        self.sort_nodes: List[PlanNode] = []
 
     def _build_isolated(self, statement) -> PlanNode:
         """Build a nested statement's subtree without polluting the outer
         annotation lists — the nested statement records its row counts into
         its own stats object, which EXPLAIN ANALYZE cannot see."""
-        saved_scans, saved_joins = self.scan_nodes, self.join_nodes
-        self.scan_nodes, self.join_nodes = [], []
+        saved = self.scan_nodes, self.join_nodes, self.group_nodes, self.sort_nodes
+        self.scan_nodes, self.join_nodes, self.group_nodes, self.sort_nodes = [], [], [], []
         try:
             return self.build(statement)
         finally:
-            self.scan_nodes, self.join_nodes = saved_scans, saved_joins
+            self.scan_nodes, self.join_nodes, self.group_nodes, self.sort_nodes = saved
 
     # -- helpers ------------------------------------------------------------
 
@@ -930,6 +934,7 @@ class _ExplainBuilder:
             if statement.group_by:
                 keys = ", ".join(expression_sql(key) for key in statement.group_by)
                 agg = PlanNode("HashAggregate", f"keys: {keys}", children=[node])
+                self.group_nodes.append(agg)
                 if (
                     len(statement.group_by) == 1
                     and isinstance(statement.group_by[0], ColumnRef)
@@ -958,6 +963,7 @@ class _ExplainBuilder:
             if statement.limit is not None and not statement.distinct:
                 detail += " (top-k)"
             node = PlanNode("Sort", detail, children=[node])
+            self.sort_nodes.append(node)
         if statement.distinct:
             node = PlanNode("Unique", children=[node])
         if statement.limit is not None or statement.offset:
@@ -1034,6 +1040,13 @@ def explain_statement(executor, target, parameters, *, analyze: bool = False) ->
                     node.lines.append(
                         "Vectorized: yes" if detail.vectorized else "Vectorized: no"
                     )
+            # Whether group ids / the sort order came from packed columns.
+            for nodes, vectorized in (
+                (builder.group_nodes, stats.group_vectorized),
+                (builder.sort_nodes, stats.order_vectorized),
+            ):
+                for node in nodes:
+                    node.lines.append("Vectorized: yes" if vectorized else "Vectorized: no")
             for node, step in zip(builder.join_nodes, stats.join_steps):
                 node.actual_rows = step.rows_emitted
                 label = _JOIN_STRATEGY_LABELS.get(step.strategy)

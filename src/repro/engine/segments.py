@@ -274,6 +274,12 @@ class ExecutionStats:
     #: instead of a per-row predicate — SELECT scans, bitmap DELETE, and
     #: bitmap UPDATE all set it.
     where_vectorized: bool = False
+    #: True when GROUP BY group ids came from packed key columns (typed
+    #: values or dictionary codes) instead of a per-row key pass.
+    group_vectorized: bool = False
+    #: True when a non-grouped ORDER BY's row order came from one sort over
+    #: packed key columns instead of comparing per-row keys.
+    order_vectorized: bool = False
     #: Fraction of bitmap-scanned rows the WHERE selected (popcount / bitmap
     #: width); ``None`` when the WHERE did not run vectorized.
     bitmap_selectivity: Optional[float] = None

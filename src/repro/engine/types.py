@@ -289,8 +289,22 @@ def values_equal(left: Any, right: Any) -> bool:
     return left == right
 
 
+#: The one NaN every float NaN keys to.  Python >= 3.10 hashes NaN by object
+#: identity, so without it each NaN row would form a group of its own.
+_CANONICAL_NAN = float("nan")
+
+
 def hashable_key(value: Any) -> Any:
-    """Convert a value to something hashable for grouping and distinct."""
+    """Convert a value to something hashable for grouping and distinct.
+
+    Every float NaN maps to one canonical NaN object, so NaN values form one
+    group (still apart from NULL) and still compare as floats when sorted.
+    """
+    kind = value.__class__
+    if kind is str or kind is int or value is None:
+        return value
+    if isinstance(value, float) and value != value:
+        return _CANONICAL_NAN
     if isinstance(value, np.ndarray):
         return ("__array__", value.shape, tuple(value.ravel().tolist()))
     if isinstance(value, (list, tuple)):

@@ -169,16 +169,48 @@ def _random_where(rng, picked, max_id):
     return joined
 
 
+def _random_group_by(rng, picked, where):
+    """GROUP BY one or two random columns (packed keys group vectorized)."""
+    names = [name for name, _ in picked]
+    keys = ", ".join(rng.sample(names, rng.randrange(1, min(2, len(names)) + 1)))
+    target = rng.choice(names)
+    numeric = [n for n, k in picked if k in ("num", "count")]
+    total = f", sum({rng.choice(numeric)})" if numeric else ""
+    where_clause = f" WHERE {where}" if rng.random() < 0.5 else ""
+    return (
+        f"SELECT {keys}, count(*), count({target}), min(id), max(id){total} "
+        f"FROM t{where_clause} GROUP BY {keys}"
+    )
+
+
+def _random_top_k(rng, picked, where):
+    """ORDER BY a random column, either direction and NULL placement, LIMIT."""
+    name, _ = rng.choice(picked)
+    direction = rng.choice(["", " DESC"])
+    nulls = rng.choice(["", " NULLS FIRST", " NULLS LAST"])
+    tiebreak = ", id DESC" if rng.random() < 0.5 else ""
+    offset = f" OFFSET {rng.randrange(1, 10)}" if rng.random() < 0.3 else ""
+    where_clause = f" WHERE {where}" if rng.random() < 0.5 else ""
+    return (
+        f"SELECT * FROM t{where_clause} ORDER BY {name}{direction}{nulls}{tiebreak} "
+        f"LIMIT {rng.randrange(1, 25)}{offset}"
+    )
+
+
 def _random_query(rng, picked, max_id):
     where = _random_where(rng, picked, max_id)
     roll = rng.random()
-    if roll < 0.2:
+    if roll < 0.15:
         return f"SELECT count(*) FROM t WHERE {where}"
-    if roll < 0.35:
+    if roll < 0.25:
         numeric = [n for n, k in picked if k in ("num", "count")]
         if numeric:
             target = rng.choice(numeric)
             return f"SELECT count(*), min({target}), max({target}) FROM t WHERE {where}"
+    if roll < 0.5:
+        return _random_group_by(rng, picked, where)
+    if roll < 0.7:
+        return _random_top_k(rng, picked, where)
     return f"SELECT * FROM t WHERE {where} ORDER BY id"
 
 
