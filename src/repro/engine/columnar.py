@@ -622,8 +622,7 @@ class ColumnStore(Sequence):
         return self._columns[index]
 
     def columns_view(self) -> Tuple[Sequence[Any], ...]:
-        """All columns — the drop-in replacement for the derived columnar
-        cache row-mode tables maintain."""
+        """All columns, in schema order (no copy — do not mutate)."""
         return tuple(self._columns)
 
     def iter_column(self, index: int) -> Iterator[Any]:

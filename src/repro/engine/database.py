@@ -92,25 +92,15 @@ class Database:
         snapshot (autovacuum-style damping).  Off by default: statistics are
         collected only by explicit ``ANALYZE`` (or :meth:`analyze`), the
         paper's interrogate-the-catalog workflow.
-    columnar_storage:
-        When true (default), new tables store each segment as typed packed
-        columns (:mod:`repro.engine.columnar`) and single-table WHERE
-        clauses may evaluate as segment-at-a-time selection bitmaps with
-        late row materialization; when false tables store row-tuple lists
-        and every WHERE runs per row.  Results are byte-identical either
-        way — the flag exists so the columnar parity suite and the
-        ``--columnar`` microbenchmark can compare the storage layouts.
-        Bitmap WHERE evaluation also requires ``compiled_execution``.
     columnar_compression:
-        When true (default), columnar tables dictionary-encode text and
+        When true (default), tables dictionary-encode text and
         boolean columns (:class:`~repro.engine.columnar.DictColumn`) — the
         storage shrinks to int16 codes and supported text predicates
         (``=``, ``!=``, ``IN``, ``LIKE``) evaluate in code space as
         selection bitmaps.  High-cardinality columns demote back to object
         lists automatically.  Results are byte-identical either way — the
         flag exists so the compression parity/fuzz suites and the
-        ``--compression`` microbenchmark can compare the encodings.  Has no
-        effect when ``columnar_storage`` is off.
+        ``--compression`` microbenchmark can compare the encodings.
     plan_cache:
         Capacity of the plan cache (:mod:`repro.engine.plancache`).  ``0``
         (the embedded default) disables caching: every ``execute`` parses
@@ -148,7 +138,6 @@ class Database:
         hash_joins: bool = True,
         use_indexes: bool = True,
         auto_analyze: bool = False,
-        columnar_storage: bool = True,
         columnar_compression: bool = True,
         plan_cache: int = 0,
         parallel_task_timeout: Optional[float] = None,
@@ -170,7 +159,6 @@ class Database:
         self.hash_joins = hash_joins
         self.use_indexes = use_indexes
         self.auto_analyze = auto_analyze
-        self.columnar_storage = bool(columnar_storage)
         self.columnar_compression = bool(columnar_compression)
         self.parallel = int(parallel)
         self.faults = faults
@@ -357,7 +345,6 @@ class Database:
             num_segments=self.num_segments,
             distributed_by=distributed_by,
             temporary=temporary,
-            columnar_storage=self.columnar_storage,
             columnar_compression=self.columnar_compression,
         )
         return self.catalog.create_table(table)

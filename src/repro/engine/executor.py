@@ -42,10 +42,8 @@ runs a query corpus through each and asserts it.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -905,9 +903,9 @@ class Executor:
     def _vectorized_single_table(
         self, statement: SelectStatement, parameters, stats: ExecutionStats
     ) -> Optional[_Relation]:
-        """Bitmap-vectorized WHERE over one columnar base table, or ``None``.
+        """Bitmap-vectorized WHERE over one base table, or ``None``.
 
-        When the FROM clause is a single columnar-stored table and the WHERE
+        When the FROM clause is a single base table and the WHERE
         clause is in the vector-compilable subset, evaluate the predicate
         segment-at-a-time over the packed columns into selection bitmaps —
         no per-row Python at all — and return a relation whose rows are the
@@ -927,8 +925,6 @@ class Executor:
         if not self.catalog.has_table(ref.name):
             return None  # the scan path raises the proper catalog error
         table = self.catalog.get_table(ref.name)
-        if not table.columnar:
-            return None
         alias = ref.effective_alias
         columns = [(alias, name) for name in table.schema.names]
         predicate = compile_predicate_vector(
@@ -1043,13 +1039,6 @@ class Executor:
         aggregate_calls = self._collect_aggregate_calls(all_expressions)
         window_calls = self._collect_window_calls(all_expressions)
 
-        # ORDER BY + LIMIT k: only the top k (+ offset) rows are needed, so
-        # the sort can short-circuit into a bounded heap selection — unless
-        # DISTINCT must deduplicate the full ordering first.
-        limit_hint: Optional[int] = None
-        if statement.order_by and statement.limit is not None and not statement.distinct:
-            limit_hint = statement.limit + (statement.offset or 0)
-
         if aggregate_calls or statement.group_by:
             output_rows = self._execute_grouped(
                 statement,
@@ -1060,11 +1049,17 @@ class Executor:
                 parameters,
                 stats,
                 env,
-                limit_hint=limit_hint,
             )
         else:
             order = None
             if statement.order_by and not window_calls:
+                # ORDER BY + LIMIT k over packed columns: only the top k
+                # (+ offset) rows are needed, so the packed sort partitions
+                # instead — unless DISTINCT must deduplicate the full
+                # ordering first.
+                limit_hint: Optional[int] = None
+                if statement.limit is not None and not statement.distinct:
+                    limit_hint = statement.limit + (statement.offset or 0)
                 order = self._packed_order(
                     statement.order_by, select_items, output_names, relation, env, limit_hint
                 )
@@ -1094,7 +1089,6 @@ class Executor:
                     output_rows,
                     compiled_keys=order_key_fns,
                     relation_rows=relation.rows,
-                    limit_hint=limit_hint,
                 )
 
         if statement.distinct:
@@ -1116,9 +1110,9 @@ class Executor:
 
     def _packed_scan(self, relation: _Relation, env: Optional[tuple]):
         """``(store, selection)`` per segment when ``relation`` is a compiled-tier
-        scan of a columnar base table (full, or bitmap-filtered), else ``None``."""
+        scan of a base table (full, or bitmap-filtered), else ``None``."""
         table = relation.source_table
-        if env is None or table is None or not table.columnar:
+        if env is None or table is None:
             return None
         selections = relation.segment_selections or [None] * table.num_segments
         return [(table.column_store(s), selections[s]) for s in range(table.num_segments)]
@@ -1209,7 +1203,6 @@ class Executor:
         *,
         compiled_keys: Optional[Dict[int, Any]] = None,
         relation_rows: Optional[List[Tuple[Any, ...]]] = None,
-        limit_hint: Optional[int] = None,
     ) -> List[Tuple[Any, ...]]:
         indices = list(range(len(output_rows)))
         lowered_names = [name.lower() for name in output_names]
@@ -1231,14 +1224,6 @@ class Executor:
                 return expression.evaluate(contexts[index])
             raise ExecutionError("cannot evaluate ORDER BY expression for aggregated output")
 
-        if limit_hint is not None and 0 <= limit_hint < len(indices):
-            top = self._top_k_order_by(order_by, output_rows, key_value, limit_hint)
-            if top is not None:
-                return top
-            # NaN keys: fall through to the multi-pass sort below, whose
-            # NaN placement (timsort with always-False comparisons) a
-            # consistent comparator cannot reproduce.
-
         for order_item in reversed(order_by):
             keys = {i: key_value(order_item, i) for i in indices}
             non_null = [i for i in indices if keys[i] is not None]
@@ -1246,58 +1231,6 @@ class Executor:
             non_null.sort(key=lambda i: hashable_key(keys[i]), reverse=not order_item.ascending)
             indices = (non_null + nulls) if order_item.nulls_last else (nulls + non_null)
         return [output_rows[i] for i in indices]
-
-    @staticmethod
-    def _top_k_order_by(
-        order_by: List[OrderItem],
-        output_rows: List[Tuple[Any, ...]],
-        key_value: Callable[[OrderItem, int], Any],
-        limit: int,
-    ) -> Optional[List[Tuple[Any, ...]]]:
-        """``ORDER BY ... LIMIT k`` short-circuit: bounded heap selection.
-
-        One ``heapq.nsmallest`` over a composite comparator replaces the full
-        multi-pass sort — O(n log k) instead of O(k_order · n log n) — which
-        is the shape of Viterbi's per-position argmax (``ORDER BY score DESC
-        LIMIT 1``).  The comparator reproduces the multi-pass semantics
-        exactly: per-key ascending/descending over ``hashable_key`` values,
-        NULLS FIRST/LAST partitioning per key, ties falling through to the
-        next key, and final ties keeping input order (``nsmallest`` is
-        stable), so the selected prefix is byte-identical to sorting
-        everything and slicing.  The one case a comparator cannot reproduce
-        is a NaN sort key — the multi-pass sort feeds NaN through timsort,
-        whose placement no antisymmetric comparator matches — so NaN keys
-        return ``None`` and the caller takes the full sort.
-        """
-        count = len(output_rows)
-        keys_per_item = [
-            [key_value(order_item, index) for index in range(count)]
-            for order_item in order_by
-        ]
-        for keys in keys_per_item:
-            for value in keys:
-                if isinstance(value, float) and value != value:
-                    return None
-
-        def compare(first: int, second: int) -> int:
-            for keys, order_item in zip(keys_per_item, order_by):
-                a, b = keys[first], keys[second]
-                if a is None or b is None:
-                    if a is None and b is None:
-                        continue
-                    if order_item.nulls_last:
-                        return 1 if a is None else -1
-                    return -1 if a is None else 1
-                a, b = hashable_key(a), hashable_key(b)
-                if a == b:
-                    continue
-                if a < b:
-                    return -1 if order_item.ascending else 1
-                return 1 if order_item.ascending else -1
-            return 0
-
-        top = heapq.nsmallest(limit, range(count), key=cmp_to_key(compare))
-        return [output_rows[index] for index in top]
 
     def _execute_grouped(
         self,
@@ -1309,7 +1242,6 @@ class Executor:
         parameters,
         stats: ExecutionStats,
         env: Optional[tuple] = None,
-        limit_hint: Optional[int] = None,
     ) -> List[Tuple[Any, ...]]:
         aggregates = self._aggregate_registry()
 
@@ -1362,7 +1294,6 @@ class Executor:
                 output_names,
                 group_contexts,
                 output_rows,
-                limit_hint=limit_hint,
             )
         return output_rows
 
@@ -1790,8 +1721,7 @@ class Executor:
                 if selection is not None:
                     length = len(selection)
                 else:
-                    segment_columns = table.segment_columns(segment)
-                    length = len(segment_columns[0]) if segment_columns else 0
+                    length = len(table.column_store(segment))
                 # Constant argument, known NULL-free: O(1) space, no null scan.
                 streams.append(
                     ColumnBatch((ConstantColumn(1, length),), prefiltered=True)
@@ -1940,7 +1870,6 @@ class Executor:
             num_segments=self.database.num_segments,
             distributed_by=statement.distributed_by,
             temporary=statement.temporary,
-            columnar_storage=getattr(self.database, "columnar_storage", True),
             columnar_compression=getattr(self.database, "columnar_compression", True),
         )
         self.catalog.create_table(table)
@@ -1969,7 +1898,6 @@ class Executor:
             num_segments=self.database.num_segments,
             distributed_by=statement.distributed_by,
             temporary=statement.temporary,
-            columnar_storage=getattr(self.database, "columnar_storage", True),
             columnar_compression=getattr(self.database, "columnar_compression", True),
         )
         table.insert_many(result.rows)
@@ -2042,10 +1970,8 @@ class Executor:
         # packed columns.  Scan order is segment order (``_scan_table``), so
         # per-segment positions and the relation's row indices line up.
         segment_masks = None
-        if (
-            statement.where is not None
-            and table.columnar
-            and getattr(self.database, "compiled_execution", True)
+        if statement.where is not None and getattr(
+            self.database, "compiled_execution", True
         ):
             vector = compile_predicate_vector(
                 statement.where,
@@ -2139,7 +2065,7 @@ class Executor:
         # segment and hand the table the *complement* positions to keep — no
         # row tuples, no per-row predicate calls, one index remap per
         # segment.  Any decline/abort falls through to the row paths below.
-        if table.columnar and getattr(self.database, "compiled_execution", True):
+        if getattr(self.database, "compiled_execution", True):
             vector = compile_predicate_vector(
                 statement.where,
                 layout,

@@ -253,21 +253,13 @@ class ExecutionStats:
     #: Per-scan access-path records in scan order (EXPLAIN ANALYZE's source
     #: of truth for which plan actually ran).
     scan_details: List[ScanDetail] = field(default_factory=list)
-    #: Per-join-step records in execution order.
+    #: Per-join-step records in execution order (``join_strategy`` and
+    #: ``join_rows_emitted`` derive from them).
     join_steps: List[JoinStep] = field(default_factory=list)
-    #: Comma-joined strategy labels, one per executed join step, in execution
-    #: order: ``hash`` (in-process build/probe), ``hash_colocated`` /
-    #: ``hash_broadcast`` (worker-pool dispatch), ``nested_loop`` (non-equi
-    #: or uncompilable condition), ``cross`` (Cartesian step).  ``None`` when
-    #: the statement joined nothing.
-    join_strategy: Optional[str] = None
-    #: Total rows emitted by all join steps (intermediate steps included).
-    join_rows_emitted: int = 0
     #: Coordinator-observed wall clock of worker-pool join fan-outs, summed
     #: over dispatched join steps; ``None`` when no join ran on the pool.
     join_parallel_wall_seconds: Optional[float] = None
     aggregate_timings: List[AggregateTimings] = field(default_factory=list)
-    planning_seconds: float = 0.0
     total_seconds: float = 0.0
     #: True when the statement's WHERE clause was evaluated segment-at-a-time
     #: as selection bitmaps over packed columns (columnar vectorized path)
@@ -317,15 +309,27 @@ class ExecutionStats:
         estimated_rows: Optional[float] = None,
     ) -> None:
         """Record one executed join step (strategy label + emitted rows)."""
-        self.join_strategy = (
-            strategy if self.join_strategy is None else f"{self.join_strategy},{strategy}"
-        )
-        self.join_rows_emitted += rows_emitted
         self.join_steps.append(JoinStep(strategy, rows_emitted, estimated_rows))
         if parallel_wall_seconds is not None:
             self.join_parallel_wall_seconds = (
                 self.join_parallel_wall_seconds or 0.0
             ) + parallel_wall_seconds
+
+    @property
+    def join_strategy(self) -> Optional[str]:
+        """Comma-joined strategy labels, one per executed join step, in
+        execution order: ``hash`` (in-process build/probe), ``hash_colocated``
+        / ``hash_broadcast`` (worker-pool dispatch), ``nested_loop`` (non-equi
+        or uncompilable condition), ``cross`` (Cartesian step).  ``None`` when
+        the statement joined nothing."""
+        if not self.join_steps:
+            return None
+        return ",".join(step.strategy for step in self.join_steps)
+
+    @property
+    def join_rows_emitted(self) -> int:
+        """Total rows emitted by all join steps (intermediate steps included)."""
+        return sum(step.rows_emitted for step in self.join_steps)
 
     @property
     def simulated_parallel_seconds(self) -> float:

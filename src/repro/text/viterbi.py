@@ -19,7 +19,8 @@ the single-table position filters below the join and executes the equality
 conjuncts as build/probe hash joins, so each step visits O(F + P + T) rows
 instead of materializing the O(F·P·T) Cartesian product the pre-join-layer
 executor built.  The final ``ORDER BY score DESC LIMIT 1`` argmax rides the
-top-k short-circuit (bounded heap selection, no full sort).
+packed-column top-k sort (``argpartition`` over the stored score column, no
+full sort).
 """
 
 from __future__ import annotations

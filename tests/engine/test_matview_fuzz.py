@@ -127,7 +127,7 @@ def _run_scenario(seed: int) -> int:
     rng = random.Random(f"matview-fuzz:{seed}")
     db = Database(
         num_segments=rng.choice((1, 2, 3)),
-        columnar_storage=rng.random() < 0.8,
+        columnar_compression=rng.random() < 0.8,
     )
     db.execute("CREATE TABLE t (k INTEGER, a INTEGER, b DOUBLE PRECISION, s TEXT)")
     seed_rows = ", ".join(_random_row(rng) for _ in range(rng.randrange(5, 25)))

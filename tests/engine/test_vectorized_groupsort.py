@@ -1,10 +1,10 @@
 """Vectorized GROUP BY and ORDER BY over packed columns: parity and coverage.
 
-Every case runs on four databases with identical contents: the default
+Every case runs on three databases with identical contents: the default
 configuration, where eligible statements group and sort on the packed
-columns, and three references that never do — ``compiled_execution=False``
-(the interpreted tier), ``columnar_compression=False`` (no dictionaries) and
-``columnar_storage=False`` (row tuples).  Results must be repr-equal, which
+columns, and two references — ``compiled_execution=False`` (the interpreted
+tier, which never does) and ``columnar_compression=False`` (no
+dictionaries).  Results must be repr-equal, which
 tells ``-0.0`` from ``0.0``, NaN from NULL and ``1`` from ``1.0``.
 
 The ``group_vectorized`` / ``order_vectorized`` flags are asserted too, so a
@@ -24,7 +24,6 @@ from repro.engine import columnar
 REFERENCES = (
     {"compiled_execution": False},
     {"columnar_compression": False},
-    {"columnar_storage": False},
 )
 
 COLUMNS = [("id", "integer"), ("k", "integer"), ("x", "double precision"), ("t", "text")]
@@ -51,10 +50,11 @@ def _check(databases, sql, *, group=None, order=None):
         assert first.stats.group_vectorized is group, sql
     if order is not None:
         assert first.stats.order_vectorized is order, sql
-    # Neither the interpreted tier nor row storage ever takes the new paths
-    # (without dictionaries, packed numeric keys still do).
-    for other in (results[1], results[3]):
-        assert not other.stats.group_vectorized and not other.stats.order_vectorized, sql
+    # The interpreted tier never takes the new paths (without dictionaries,
+    # packed numeric keys still do).
+    interpreted = results[1]
+    assert not interpreted.stats.group_vectorized, sql
+    assert not interpreted.stats.order_vectorized, sql
     return first
 
 
